@@ -40,12 +40,14 @@ Beyond the original one-shot ring this backend adds:
   set, and the iteration re-runs — the fit continues having lost only
   the dead machine's data.
 
-The ring *transport* — how a forwarded submodel physically reaches the
-successor machine — is pluggable: this module's workers pass messages
-over ``multiprocessing`` queues, while the TCP backend
-(:mod:`repro.distributed.backends.tcp`) subclasses the coordinator and
-swaps in framed socket connections; everything else (counter protocol,
-shared-memory shards, pool lifecycle, recovery choreography) is shared.
+Both wall-clock engines run one worker program, :func:`_worker_main`:
+the same command loop, counter protocol, shared-memory shards, pool
+lifecycle and recovery choreography. What differs per engine sits in a
+small *link* object handed to each worker at spawn — this module's
+:class:`_QueueLink` passes ring messages over ``multiprocessing``
+queues, while the TCP backend (:mod:`repro.distributed.backends.tcp`)
+subclasses the coordinator and hands out a socket link. Every fit
+reaches a worker as one :class:`WorkerSetup`.
 
 Workers report per-shard metrics after the Z step; the lowest-ranked
 live worker additionally reports the assembled final parameters, which
@@ -85,6 +87,18 @@ from repro.distributed.batching import (
 )
 from repro.distributed.chaos import ChaosShim
 from repro.distributed.dataplane import ClusterState, DataPlane
+from repro.distributed.framing import (
+    KIND_HEARTBEAT,
+    KIND_INGEST,
+    KIND_SHARD_RETIRED,
+    FrameDecoder,
+    ProtocolError,
+    decode_heartbeat,
+    decode_ingest,
+    decode_shard_retired,
+    encode_heartbeat,
+    encode_shard_retired,
+)
 from repro.distributed.health import HealthMonitor, HeartbeatSender, WorkerPulse
 from repro.distributed.interfaces import get_params_many, set_params_many
 from repro.distributed.messages import ShardRetired, SubmodelMessage
@@ -534,43 +548,68 @@ class _QueueRingTransport:
 
 
 # ------------------------------------------------------------------ worker
-def _build_worker_state(rank, adapter, desc, protocol, homes, batch_size,
-                        shuffle_within, seed, rng_state=None,
-                        message_dtype=None, batch_units=True,
-                        overlap_send=False, cpuset=None, chaos=None) -> dict:
-    """Per-fit worker state, shared by every wall-clock worker loop.
+@dataclasses.dataclass
+class WorkerSetup:
+    """Everything a worker needs to start (or resume) one fit.
 
-    One construction site keeps the queue and TCP workers bit-identical:
-    a field added here (RNG stream, batching knob, ...) reaches both.
+    The coordinator builds it in exactly one place
+    (:meth:`MultiprocessBackend._setup_workers`) for every path that
+    ships a fit to a worker — fresh setup, pool rebuild, respawn,
+    restore and mid-fit join — so a knob added here reaches them all.
+    Settings fixed at backend construction (the tcp host, port, hop
+    batching, connect timeout, fault handling) travel once, in the
+    worker's link, instead.
+    """
+
+    adapter: object
+    desc: dict
+    protocol: WStepProtocol
+    homes: dict
+    batch_size: int
+    shuffle_within: bool
+    seed: int
+    rng_state: dict | None
+    message_dtype: object
+    batch_units: bool
+    overlap_send: bool
+    chaos: object
+    cpuset: list | None
+    health: object
+
+
+def _build_worker_state(rank, setup: WorkerSetup) -> dict:
+    """Per-fit worker state built from one :class:`WorkerSetup`.
+
     ``rng_state`` restores a checkpointed SGD stream in place of the
     fresh seed-derived one. ``cpuset`` (from the coordinator's
     ``pin_workers`` partition) pins this process; the state records the
     affinity actually in effect afterwards, which the setup ack reports.
     """
-    seg, shard = _attach_shard(desc)
+    adapter = setup.adapter
+    seg, shard = _attach_shard(setup.desc)
     specs = adapter.submodel_specs()
-    rng = np.random.default_rng(seed)
-    if rng_state is not None:
-        rng.bit_generator.state = rng_state
+    rng = np.random.default_rng(setup.seed)
+    if setup.rng_state is not None:
+        rng.bit_generator.state = setup.rng_state
     applied_cpuset = None
-    if cpuset is not None and hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, cpuset)
+    if setup.cpuset is not None and hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, setup.cpuset)
         applied_cpuset = sorted(os.sched_getaffinity(0))
     return {
         "adapter": adapter,
         "shard": shard,
         "seg": seg,
-        "protocol": protocol,
+        "protocol": setup.protocol,
         "specs": specs,
         "spec_by_sid": {s.sid: s for s in specs},
-        "homes": dict(homes),
-        "my_sids": [sid for sid, h in homes.items() if h == rank],
-        "batch_size": batch_size,
-        "shuffle_within": shuffle_within,
-        "message_dtype": message_dtype,
-        "batch_units": batch_units,
-        "overlap_send": bool(overlap_send),
-        "chaos": chaos,
+        "homes": dict(setup.homes),
+        "my_sids": [sid for sid, h in setup.homes.items() if h == rank],
+        "batch_size": setup.batch_size,
+        "shuffle_within": setup.shuffle_within,
+        "message_dtype": setup.message_dtype,
+        "batch_units": setup.batch_units,
+        "overlap_send": bool(setup.overlap_send),
+        "chaos": setup.chaos,
         "cpuset": applied_cpuset,
         "compute_dtype": np.dtype(getattr(adapter, "compute_dtype", np.float64)),
         "rng": rng,
@@ -777,8 +816,80 @@ def _run_worker_iteration(rank, state, mu, plan, n_expected, transport,
     }
 
 
-def _worker_main(rank, ring_qs, cmd_q, res, abort_ev):
-    """Pool worker loop: serve setup/iter commands until told to stop."""
+def _decode_control_blob(blob: bytes, expected_kind: int) -> list:
+    """Decode a blob of concatenated control frames of one kind."""
+    decoders = {
+        KIND_INGEST: decode_ingest,
+        KIND_SHARD_RETIRED: decode_shard_retired,
+    }
+    out = []
+    decoder = FrameDecoder()
+    for kind, payload in decoder.feed(blob):
+        if kind != expected_kind:
+            raise ProtocolError(
+                f"expected control frame kind {expected_kind}, got {kind}"
+            )
+        out.append(decoders[expected_kind](payload))
+    decoder.eof()
+    return out
+
+
+class _QueueLink:
+    """The multiprocess engine's half of a worker.
+
+    A link supplies exactly what differs between the wall-clock engines
+    under the one command loop (:func:`_worker_main`): ``open`` brings
+    this worker's end of the ring up for a new fit and returns its
+    address; ``transport`` builds one iteration's ring transport;
+    ``ingest`` appends a shipped batch; ``abort`` decides whether an
+    interrupted iteration is survivable; ``command`` serves engine-only
+    ops; ``close`` releases the ring end.
+
+    Here the ring is the coordinator-built queue mesh (inherited at
+    spawn, so there is nothing to open or close), ingest batches arrive
+    as shared-memory segments, and only the coordinator's abort sentinel
+    ends an iteration short.
+    """
+
+    def __init__(self, rank: int, ring_qs, abort_ev):
+        self.rank = rank
+        self._ring_qs = ring_qs
+        self._abort_ev = abort_ev
+
+    def open(self) -> None:
+        return None
+
+    def close(self) -> None:
+        pass
+
+    def transport(self, state, gen: int, **options) -> _QueueRingTransport:
+        return _QueueRingTransport(
+            self.rank, self._ring_qs, gen, self._abort_ev, **options
+        )
+
+    def ingest(self, state, desc) -> int:
+        seg, arrays = _attach_array_block(desc)
+        try:
+            return _apply_worker_ingest(state, *arrays)
+        finally:
+            seg.close()
+
+    def abort(self, exc: Exception) -> bool:
+        return isinstance(exc, IterationAborted)
+
+    def command(self, state, op: str, *args):
+        raise ValueError(f"unknown worker command {op!r}")
+
+
+def _worker_main(cmd_q, res, link):
+    """Pool worker loop of both wall-clock engines.
+
+    Serves ``setup``/``checkpoint``/``ingest``/``replan``/``model``/
+    ``iter`` until ``stop``; ``link`` (:class:`_QueueLink`, or the TCP
+    backend's socket link) supplies the ring transport, the ingest
+    delivery, the abort handling and any engine-only commands.
+    """
+    rank = link.rank
     state = None
     pulse = WorkerPulse()
     beat: HeartbeatSender | None = None
@@ -796,52 +907,53 @@ def _worker_main(rank, ring_qs, cmd_q, res, abort_ev):
         if op == "stop":
             if beat is not None:
                 beat.stop()
+            link.close()
             if state is not None and state["seg"] is not None:
                 state["seg"].close()
             break
         try:
             if op == "setup":
-                (_, adapter, desc, protocol, homes, batch_size, shuffle_within,
-                 seed, rng_state, message_dtype, batch_units, overlap_send,
-                 chaos, cpuset, health) = cmd
+                _, setup = cmd
+                link.close()  # a new fit rebuilds the ring end
                 if state is not None and state["seg"] is not None:
                     state["seg"].close()
-                state = _build_worker_state(
-                    rank, adapter, desc, protocol, homes, batch_size,
-                    shuffle_within, seed, rng_state, message_dtype, batch_units,
-                    overlap_send, cpuset, chaos,
-                )
+                state = _build_worker_state(rank, setup)
                 state["pulse"] = pulse
-                if health is not None and beat is None:
+                if setup.health is not None and beat is None:
+                    # Beats travel as encoded HEARTBEAT control frames —
+                    # the same bytes a multi-host deployment would send
+                    # down a coordinator socket — carried here over the
+                    # single-host response channel.
                     beat = HeartbeatSender(
                         lambda seq, phase, progress: reply(
-                            (rank, "beat", (seq, phase, progress))
+                            (rank, "beat",
+                             encode_heartbeat(rank, seq, progress, phase))
                         ),
-                        health.interval_s,
+                        setup.health.interval_s,
                         pulse,
                     )
                 # The ack reports the cpuset actually applied (None when
-                # pinning is off or unsupported on this platform).
-                reply((rank, "ready", state["cpuset"]))
+                # pinning is off or unsupported) and the link's address.
+                reply((rank, "ready", (state["cpuset"], link.open())))
             elif op == "checkpoint":
                 reply((rank, "checkpoint", _checkpoint_worker_state(state)))
             elif op == "ingest":
-                _, desc = cmd
-                seg, arrays = _attach_array_block(desc)
-                try:
-                    n = _apply_worker_ingest(state, *arrays)
-                finally:
-                    seg.close()
-                reply((rank, "ingested", n))
+                reply((rank, "ingested", link.ingest(state, cmd[1])))
             elif op == "replan":
-                _, protocol, homes, _retired = cmd
+                _, protocol, homes, retired_blob = cmd
+                # The retirement announcement arrives as SHARD_RETIRED
+                # control frames — validated here even on a single host,
+                # so the multi-host control channel ships proven bytes.
+                if retired_blob:
+                    _decode_control_blob(retired_blob, KIND_SHARD_RETIRED)
                 _apply_replan(rank, state, protocol, homes)
                 reply((rank, "replanned", None))
             elif op == "model":
                 reply((rank, "model", _report_model(state)))
             elif op == "iter":
-                _, mu, plan, n_expected, gen, model_rank, crash = cmd
-                chaos = state.get("chaos")
+                _, mu, orders, n_expected, gen, model_rank, crash = cmd
+                plan = RoutePlan.from_orders(orders, state["protocol"])
+                chaos = state["chaos"]
                 # A fresh shim per iteration realigns the per-link RNG
                 # streams with the simulated engines' per-W-step timeline.
                 shim = (
@@ -849,32 +961,32 @@ def _worker_main(rank, ring_qs, cmd_q, res, abort_ev):
                     if chaos is not None and chaos.active()
                     else None
                 )
-                transport = _QueueRingTransport(
-                    rank, ring_qs, gen, abort_ev,
-                    wire_dtype=(
-                        state["message_dtype"]
-                        if state["protocol"].n_machines > 1
-                        else None
-                    ),
+                ring = state["protocol"].n_machines > 1
+                transport = link.transport(
+                    state,
+                    gen,
+                    wire_dtype=state["message_dtype"] if ring else None,
                     compute_dtype=state["compute_dtype"],
-                    overlap=(
-                        state.get("overlap_send", False)
-                        and state["protocol"].n_machines > 1
-                    ),
+                    overlap=state["overlap_send"] and ring,
                     chaos_shim=shim,
                 )
                 try:
-                    payload = _run_worker_iteration(
-                        rank, state, mu, plan, n_expected, transport, model_rank,
-                        chaos_shim=shim, crash=crash,
-                    )
-                except IterationAborted:
+                    try:
+                        payload = _run_worker_iteration(
+                            rank, state, mu, plan, n_expected, transport,
+                            model_rank, chaos_shim=shim, crash=crash,
+                        )
+                    finally:
+                        pulse.enter("idle")
+                        transport.close()
+                except (IterationAborted, ProtocolError) as exc:
+                    if not link.abort(exc):
+                        raise
                     reply((rank, "aborted", None))
                 else:
                     reply((rank, "result", payload))
-                finally:
-                    pulse.enter("idle")
-                    transport.close()
+            else:
+                reply((rank, *link.command(state, *cmd)))
         except Exception:
             reply((rank, "error", traceback.format_exc()))
 
@@ -926,8 +1038,6 @@ class MultiprocessBackend(BaseBackend):
     backend reports wall-clock time.
     """
 
-    #: Worker entry point; subclasses substitute their own loop.
-    _worker_fn = staticmethod(_worker_main)
     #: Whether the ring runs over coordinator-built queues (the TCP
     #: backend moves the ring to sockets and skips the mesh).
     _needs_ring_queues = True
@@ -1021,39 +1131,52 @@ class MultiprocessBackend(BaseBackend):
         return out
 
     def _ship_setup(self, adapter, descs: dict, rng_states: dict | None = None) -> None:
-        """Send per-worker setup commands and wait for every ack.
+        """Set up the workers in ``descs`` (rank -> shard descriptor;
+        ranks need not be contiguous after a restore), then bring the
+        ring up across them."""
+        self._link_ring(self._setup_workers(adapter, descs, rng_states))
 
-        ``descs`` maps rank -> shard descriptor (ranks need not be
-        contiguous after a restore). Override point for subclasses whose
-        workers need extra setup phases (the TCP backend negotiates
-        ports and builds the socket mesh here).
+    def _setup_workers(self, adapter, descs: dict, rng_states: dict | None = None) -> dict:
+        """Ship one :class:`WorkerSetup` per rank in ``descs`` and wait
+        for every ack; returns each worker's link address.
+
+        The only place a ``setup`` command is built: every path that
+        ships a fit to workers (setup, pool rebuild, respawn, restore,
+        join) comes through here. ``self._ranks`` must already hold the
+        post-change membership — the CPU partition is taken over it.
         """
         base_seed = 0 if self.seed is None else int(self.seed)
-        cpusets = self._cpusets(sorted(descs))
+        rng_states = rng_states or {}
+        cpusets = self._cpusets(self._ranks)
         for rank in sorted(descs):
-            self._cmd_qs[rank].put(
-                (
-                    "setup",
-                    adapter,
-                    descs[rank],
-                    self._protocol,
-                    self._homes,
-                    self.batch_size,
-                    self.shuffle_within,
-                    base_seed + rank,
-                    None if rng_states is None else rng_states.get(rank),
-                    self.message_dtype,
-                    self.batch_units,
-                    self.overlap_send,
-                    self.chaos,
-                    cpusets.get(rank),
-                    self.health,
-                )
+            setup = WorkerSetup(
+                adapter=adapter,
+                desc=descs[rank],
+                protocol=self._protocol,
+                homes=self._homes,
+                batch_size=self.batch_size,
+                shuffle_within=self.shuffle_within,
+                seed=base_seed + rank,
+                rng_state=rng_states.get(rank),
+                message_dtype=self.message_dtype,
+                batch_units=self.batch_units,
+                overlap_send=self.overlap_send,
+                chaos=self.chaos,
+                cpuset=cpusets.get(rank),
+                health=self.health,
             )
-        ready = self._collect("ready", ranks=sorted(descs))
+            self._cmd_qs[rank].put(("setup", setup))
+        acks = self._collect("ready", ranks=sorted(descs))
+        applied = {**self._worker_cpusets, **{r: cs for r, (cs, _) in acks.items()}}
         self._worker_cpusets = {
-            r: cs for r, cs in ready.items() if cs is not None
+            r: cs for r, cs in applied.items() if cs is not None and r in self._ranks
         }
+        return {r: addr for r, (_, addr) in acks.items()}
+
+    def _link_ring(self, addrs: dict) -> None:
+        """Connect the freshly set-up workers into one ring (override
+        point: the queue mesh already exists; the TCP backend builds its
+        socket mesh from the bound ``addrs``)."""
 
     def _spawn(self, ranks, *, capacity: int | None = None) -> None:
         """Start worker processes for ``ranks``, with slot headroom.
@@ -1085,8 +1208,14 @@ class MultiprocessBackend(BaseBackend):
         self._cmd_qs = {r: self._ctx.Queue() for r in ranks}
         self._res_chans = {}
         self._procs = {}
-        for rank in ranks:
-            self._launch_worker(rank)
+        try:
+            for rank in ranks:
+                self._launch_worker(rank)
+        except Exception:
+            # A half-started pool (e.g. a tcp ports list too short for
+            # the last rank) must not outlive the failed spawn.
+            self._close_pool(force=True)
+            raise
         self._capacity = capacity
         # A fresh pool gets a fresh monitor: stale DEAD classifications
         # from a torn-down pool must not outlive it.
@@ -1101,8 +1230,8 @@ class MultiprocessBackend(BaseBackend):
         self._res_chans[rank] = _ResponseChannel(reader)
         try:
             proc = self._ctx.Process(
-                target=self._worker_fn,
-                args=self._worker_args(rank, writer),
+                target=_worker_main,
+                args=(self._cmd_qs[rank], writer, self._worker_link(rank)),
                 daemon=True,
             )
             proc.start()
@@ -1110,12 +1239,9 @@ class MultiprocessBackend(BaseBackend):
             writer.close()
         self._procs[rank] = proc
 
-    def _worker_args(self, rank: int, res_conn) -> tuple:
-        """Arguments for this rank's worker process."""
-        return (
-            rank, self._ring_qs, self._cmd_qs[rank], res_conn,
-            self._abort_events[rank],
-        )
+    def _worker_link(self, rank: int) -> _QueueLink:
+        """This rank's half of the ring, handed to its worker at spawn."""
+        return _QueueLink(rank, self._ring_qs, self._abort_events[rank])
 
     # ----------------------------------------------------------- streaming
     def _apply_ingest(self, batch) -> int:
@@ -1183,49 +1309,38 @@ class MultiprocessBackend(BaseBackend):
     def _ship_join(self, p: int, desc, old_ranks) -> None:
         """Deliver shard + plan to the joining worker (override point:
         the TCP backend adds the mesh handshake and WELCOME transfer)."""
-        base_seed = 0 if self.seed is None else int(self.seed)
-        self._cmd_qs[p].put(
-            (
-                "setup",
-                self.adapter,
-                desc,
-                self._protocol,
-                self._homes,
-                self.batch_size,
-                self.shuffle_within,
-                base_seed + p,
-                None,
-                self.message_dtype,
-                self.batch_units,
-                self.overlap_send,
-                self.chaos,
-                self._cpusets(old_ranks + [p]).get(p),
-                self.health,
-            )
-        )
-        ready = self._collect("ready", ranks=[p])
-        if ready.get(p) is not None:
-            self._worker_cpusets[p] = ready[p]
+        self._setup_workers(self.adapter, {p: desc})
 
     def _grow_pool(self, p: int) -> None:
-        """Rebuild the pool with ring-queue headroom covering slot ``p``.
+        """Rebuild the pool with ring-queue headroom covering slot ``p``
+        — bit-identical, just a slower join."""
+        self._rebuild_pool(self._collect_worker_pool_state(), capacity=p + 1)
 
-        Collects every live worker's shard and SGD stream, tears the
-        processes down, respawns with a larger slot table and re-ships
-        the collected state — bit-identical, just a slower join.
+    def _rebuild_pool(self, states: dict, *, capacity: int,
+                      force: bool = False) -> None:
+        """Replace the pool with fresh processes and ring queues.
+
+        ``states`` maps each rank to keep to its shard and SGD stream
+        (as :meth:`_collect_worker_pool_state` returns them); the new
+        workers resume from those and the coordinator's model, over
+        ``capacity`` slots plus ``join_slots`` spares. The iteration's
+        health counters carry over to the new pool's monitor.
         """
-        live = list(self._ranks)
-        collected = self._collect_worker_pool_state()
-        self._close_pool()
-        self._spawn(live, capacity=p + 1)
+        live = sorted(states)
+        counters = self._monitor.counters() if self._monitor is not None else None
+        self._close_pool(force=force)
+        self._spawn(live, capacity=capacity)
+        self._ranks = live
+        if counters is not None and self._monitor is not None:
+            self._monitor.adopt_counters(counters)
         try:
-            segments, descs = _pack_shards([collected[r]["shard"] for r in live])
+            segments, descs = _pack_shards([states[r]["shard"] for r in live])
             self._segments.extend(segments)
             self._mark_untrack(descs)
             self._ship_setup(
                 self.adapter,
                 dict(zip(live, descs)),
-                rng_states={r: collected[r]["rng_state"] for r in live},
+                rng_states={r: states[r]["rng_state"] for r in live},
             )
         except Exception:
             self.close(force=True)
@@ -1337,30 +1452,28 @@ class MultiprocessBackend(BaseBackend):
                 # (which still contains the retired shard) must never
                 # feed a later respawn.
                 self._boundary = None
-                self._excise(loss.dead)
-                if loss.payloads is not None:
+                payloads = loss.payloads
+                if payloads is not None:
                     # No survivor aborted: the attempt completed on every
                     # survivor (models and Z codes already advanced) —
                     # keep the results instead of training this mu a
                     # second time. If the model-holding rank was the one
                     # that died, any survivor's post-iteration adapter
                     # holds the identical final model (the W-step
-                    # invariant); fetch it from the new lowest rank.
-                    payloads = loss.payloads
+                    # invariant); fetch it from the lowest survivor.
                     if model_rank not in payloads:
-                        model_rank = self._ranks[0]
+                        model_rank = min(payloads)
                         self._cmd_qs[model_rank].put(("model",))
                         fetched = self._collect("model", ranks=[model_rank])
                         payloads[model_rank]["model"] = fetched[model_rank]
+                    # Advance the coordinator's model before excising: a
+                    # rebuilt pool resumes from it.
+                    self._adopt_model(payloads[model_rank]["model"])
+                self._excise(loss.dead)
+                if payloads is not None:
                     break
         wall = time.perf_counter() - t0
-        set_params_many(
-            self.adapter,
-            [
-                (self._spec_by_sid[sid], theta)
-                for sid, theta in payloads[model_rank]["model"]
-            ],
-        )
+        self._adopt_model(payloads[model_rank]["model"])
         ranks = sorted(payloads)
         w_time = max(payloads[r]["w_time"] for r in ranks)
         z_time = max(payloads[r]["z_time"] for r in ranks)
@@ -1402,19 +1515,20 @@ class MultiprocessBackend(BaseBackend):
 
     def _dispatch_iteration(self, mu: float, plan: RoutePlan, expected: dict,
                             model_rank: int, crashes: dict | None = None) -> None:
-        """Send one iteration command to every live worker (override point).
+        """Send one iteration command to every live worker.
 
         ``crashes`` maps rank -> scheduled chaos kill point ("w"/"z") for
         this attempt; absent ranks run normally.
         """
         crashes = crashes or {}
+        orders = plan.to_orders()
         for ev in self._abort_events.values():
             ev.clear()  # workers are idle between iterations; safe to reset
         if self._monitor is not None:
             self._monitor.begin_phase(self._ranks)
         for rank in self._ranks:
             self._cmd_qs[rank].put(
-                ("iter", mu, plan, expected[rank], self._gen, model_rank,
+                ("iter", mu, orders, expected[rank], self._gen, model_rank,
                  crashes.get(rank))
             )
 
@@ -1423,7 +1537,7 @@ class MultiprocessBackend(BaseBackend):
         """Whole-cluster iteration-boundary state for bit-identical retry."""
         return {
             "pool": self._collect_worker_pool_state(),
-            "route_rng": copy.deepcopy(self._route_rng.bit_generator.state),
+            "route_rng": self._route_rng_state(),
         }
 
     def _respawn_from(self, boundary) -> None:
@@ -1444,28 +1558,18 @@ class MultiprocessBackend(BaseBackend):
         self._respawns_done += 1
         if wait > 0:
             time.sleep(wait)
-        live = sorted(boundary["pool"])
-        counters = self._monitor.counters() if self._monitor is not None else None
-        self._close_pool(force=True)
         self._release_segments()
-        self._spawn(live, capacity=max(live) + 1)
-        self._ranks = list(live)
-        if counters is not None and self._monitor is not None:
-            self._monitor.adopt_counters(counters)
-        try:
-            self._segments, descs = _pack_shards(
-                [boundary["pool"][r]["shard"] for r in live]
-            )
-            self._mark_untrack(descs)
-            self._ship_setup(
-                self.adapter,
-                dict(zip(live, descs)),
-                rng_states={r: boundary["pool"][r]["rng_state"] for r in live},
-            )
-        except Exception:
-            self.close(force=True)
-            raise
+        self._rebuild_pool(
+            boundary["pool"], capacity=max(boundary["pool"]) + 1, force=True
+        )
         self._route_rng.bit_generator.state = copy.deepcopy(boundary["route_rng"])
+
+    def _adopt_model(self, model) -> None:
+        """Load a worker-reported ``(sid, theta)`` model into the
+        coordinator's adapter."""
+        set_params_many(
+            self.adapter, [(self._spec_by_sid[sid], theta) for sid, theta in model]
+        )
 
     def _request_abort(self, ranks) -> None:
         """Wake workers blocked on ring receives that will never arrive.
@@ -1499,16 +1603,21 @@ class MultiprocessBackend(BaseBackend):
                 # Heartbeats ride the same response channel as replies;
                 # feed them to the monitor and keep them out of gathers.
                 if msg[1] == "beat":
-                    self._observe_beat(msg[0], msg[2])
+                    self._observe_beat(msg[2])
                 else:
                     out.append(msg)
         return out
 
-    def _observe_beat(self, rank: int, payload) -> None:
-        """Ingest one worker heartbeat (override point: the TCP backend
-        decodes framed beats before feeding the monitor)."""
-        if self._monitor is not None:
-            seq, phase, progress = payload
+    def _observe_beat(self, frame: bytes) -> None:
+        """Decode one framed HEARTBEAT and feed the monitor."""
+        if self._monitor is None:
+            return
+        for kind, payload in FrameDecoder().feed(frame):
+            if kind != KIND_HEARTBEAT:
+                raise ProtocolError(
+                    f"expected HEARTBEAT control frame, got kind {kind}"
+                )
+            rank, seq, progress, phase = decode_heartbeat(payload)
             self._monitor.observe(rank, seq, phase, progress)
 
     def _check_stalled(self, pending) -> None:
@@ -1648,17 +1757,29 @@ class MultiprocessBackend(BaseBackend):
     def _rebuild_transport(self, retired) -> None:
         """Restore the ring transport for the survivor set.
 
-        Queues survive as-is: stale traffic from the aborted attempt is
-        generation-filtered at the receivers. The TCP backend overrides
-        to rebuild its socket mesh.
+        A worker SIGKILLed mid-send can wedge a survivor's ring queue for
+        good: ``mp.Queue`` writes funnel through a cross-process lock the
+        dead worker's feeder may still hold, and a write cut short leaves
+        half a frame in the pipe. So, like the TCP backend's mesh
+        rebuild, the survivors move to a fresh pool with fresh queues,
+        resuming from their own shards and SGD streams and the
+        coordinator's model (which :meth:`run_iteration` has already
+        advanced if the interrupted attempt is being kept).
         """
+        self._rebuild_pool(
+            self._collect_worker_pool_state(),
+            capacity=max(self._ranks) + 1,
+            force=True,
+        )
 
     def _announce_replan(self, retired, ranks=None) -> None:
         """Ship the new protocol/home assignment to ``ranks`` (default:
-        every live worker)."""
+        every live worker), announcing ``retired`` as SHARD_RETIRED
+        control frames."""
         ranks = list(self._ranks) if ranks is None else list(ranks)
+        blob = b"".join(encode_shard_retired(m) for m in retired)
         for rank in ranks:
-            self._cmd_qs[rank].put(("replan", self._protocol, self._homes, None))
+            self._cmd_qs[rank].put(("replan", self._protocol, self._homes, blob))
         self._collect("replanned", ranks=ranks)
 
     # ----------------------------------------------------------- gathering
@@ -1726,8 +1847,6 @@ class MultiprocessBackend(BaseBackend):
         return self._topology.machines
 
     def _route_rng_state(self):
-        import copy
-
         return copy.deepcopy(self._route_rng.bit_generator.state)
 
     def restore(self, state: ClusterState, adapter=None) -> None:
@@ -1807,6 +1926,11 @@ class MultiprocessBackend(BaseBackend):
                     proc.join(timeout=5)
         self._procs = {}
         self._cmd_qs = {}
+        for q in self._ring_qs:
+            # An abort sentinel put into a queue whose write lock a dead
+            # worker still holds never leaves this process; don't let
+            # its feeder thread hold up interpreter exit.
+            q.cancel_join_thread()
         self._ring_qs = []
         self._abort_events = {}
         for chan in self._res_chans.values():

@@ -6,11 +6,12 @@ socket**, ring neighbours connect point-to-point over TCP, and
 :class:`~repro.distributed.messages.SubmodelMessage`s travel as
 length-prefixed frames (:mod:`repro.distributed.framing`) — a packed
 binary header plus raw ndarray bytes, no pickle on the hot path. Worker
-processes are managed exactly like the multiprocessing pool's (same
+processes run the multiprocessing pool's own command loop (same
 commands, same shared-memory shard shipping, same persistent-pool
-lifecycle); only the *ring transport* differs, which is the point: the
-counter protocol is transport-agnostic, so the conformance suite can
-assert bit-parity between queues, sockets and the simulators.
+lifecycle); only the worker's *link* — the ring transport and the mesh
+under it — differs, which is the point: the counter protocol is
+transport-agnostic, so the conformance suite can assert bit-parity
+between queues, sockets and the simulators.
 
 Two properties matter for scale-out:
 
@@ -65,55 +66,38 @@ from __future__ import annotations
 
 import selectors
 import socket
-import threading
 import time
-import traceback
 
 import numpy as np
 
 from repro.distributed.backends.base import FaultPolicy, register_backend
 from repro.distributed.backends.mp import (
     _LIVENESS_POLL_S,
-    IterationAborted,
     MultiprocessBackend,
-    _apply_replan,
     _apply_worker_ingest,
     _AsyncSender,
-    _build_worker_state,
-    _checkpoint_worker_state,
-    _report_model,
-    _run_worker_iteration,
+    _decode_control_blob,
 )
-from repro.distributed.chaos import ChaosShim
 from repro.distributed.framing import (
     KIND_BATCH,
-    KIND_HEARTBEAT,
     KIND_HELLO,
     KIND_INGEST,
     KIND_JOIN,
-    KIND_SHARD_RETIRED,
     KIND_WELCOME,
     FrameDecoder,
     ProtocolError,
     decode_batch,
-    decode_heartbeat,
     decode_hello,
-    decode_ingest,
     decode_join,
-    decode_shard_retired,
     decode_welcome,
     encode_batch,
-    encode_heartbeat,
     encode_hello,
     encode_ingest,
     encode_join,
-    encode_shard_retired,
     encode_welcome,
 )
-from repro.distributed.health import HeartbeatSender, WorkerPulse
 from repro.distributed.interfaces import get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
-from repro.distributed.protocol import RoutePlan
 
 __all__ = ["TCPBackend"]
 
@@ -392,11 +376,6 @@ def _read_frames(conn, n: int, timeout: float) -> list[tuple[int, bytes]]:
         conn.settimeout(None)
 
 
-def _read_one_frame(conn, timeout: float) -> tuple[int, bytes]:
-    """Blocking read of exactly one frame (used for the HELLO handshake)."""
-    return _read_frames(conn, 1, timeout)[0]
-
-
 def _close_net(net: dict | None) -> None:
     if not net:
         return
@@ -409,8 +388,7 @@ def _close_net(net: dict | None) -> None:
                 pass
 
 
-# ------------------------------------------------------------------ worker
-def _bind_listen_socket(host: str, port: int, batch_hops: bool) -> dict:
+def _bind_listen_socket(host: str, port: int) -> dict:
     """A fresh net dict around a newly bound listening socket."""
     listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
@@ -423,291 +401,189 @@ def _bind_listen_socket(host: str, port: int, batch_hops: bool) -> dict:
         # socket holds a port until GC.
         listen.close()
         raise
-    return {"listen": listen, "out": {}, "in": {}, "batch_hops": batch_hops}
+    return {"listen": listen, "out": {}, "in": {}}
 
 
-def _decode_control_blob(blob: bytes, expected_kind: int) -> list:
-    """Decode a blob of concatenated control frames of one kind."""
-    decoders = {
-        KIND_INGEST: decode_ingest,
-        KIND_SHARD_RETIRED: decode_shard_retired,
-    }
-    out = []
-    decoder = FrameDecoder()
-    for kind, payload in decoder.feed(blob):
-        if kind != expected_kind:
-            raise ProtocolError(
-                f"expected control frame kind {expected_kind}, got {kind}"
-            )
-        out.append(decoders[expected_kind](payload))
-    decoder.eof()
-    return out
+def _dial(addr, greeting: bytes, timeout: float):
+    """Open an outgoing (send-only) link and identify ourselves on it."""
+    conn = _connect_with_retry(addr, timeout)
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    conn.sendall(greeting)
+    return conn
 
 
-def _tcp_worker_main(rank, cmd_q, res, connect_timeout):
-    """TCP pool worker: the mp command loop plus socket lifecycle.
+def _accept(listen, timeout: float) -> tuple:
+    """Accept one incoming link; returns it with its identifying frame."""
+    listen.settimeout(timeout)
+    try:
+        conn, _ = listen.accept()
+    finally:
+        listen.settimeout(None)
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    kind, payload = _read_frames(conn, 1, timeout)[0]
+    return conn, kind, payload
 
-    Commands: ``setup`` binds the listening socket and replies with the
-    actual port; ``connect`` receives the full port map, dials every
-    peer, accepts every peer, and acks; ``iter`` runs one MAC iteration
-    with the socket transport; ``ingest`` appends a framed batch of
-    streamed rows to the local shard; ``rebind``/``replan`` rebuild the
-    mesh and adopt the survivor plan after a ``drop_shard`` recovery;
-    ``stop`` closes everything.
+
+def _mesh_up(net: dict, rank: int, addr_map: dict, timeout: float, *,
+             greeting: bytes, after_dial=None) -> None:
+    """Link this worker into a full mesh with every peer in ``addr_map``.
+
+    Dials each peer with ``greeting`` (HELLO, or JOIN from a machine
+    joining mid-fit), runs ``after_dial``, then accepts one
+    HELLO-identified connection from every peer. Dialling succeeds as
+    soon as the peer's listen backlog completes the handshake, so every
+    worker can dial all peers before any of them reaches accept() — no
+    deadlock, no ordering protocol needed. Dials retry with backoff: a
+    peer may not have bound its listener yet.
     """
-    state = None
-    net: dict | None = None
-    pulse = WorkerPulse()
-    beat: HeartbeatSender | None = None
-    send_lock = threading.Lock()
+    peers = sorted(p for p in addr_map if p != rank)
+    for peer in peers:
+        net["out"][peer] = _dial(addr_map[peer], greeting, timeout)
+    if after_dial is not None:
+        after_dial()
+    while len(net["in"]) < len(peers):
+        conn, kind, payload = _accept(net["listen"], timeout)
+        if kind != KIND_HELLO:
+            raise ProtocolError(
+                f"expected HELLO on fresh connection, got kind {kind}"
+            )
+        net["in"][decode_hello(payload)] = conn
 
-    def reply(obj) -> None:
-        # The heartbeat thread shares this connection with the command
-        # loop; Connection.send is not safe under concurrent writers.
-        with send_lock:
-            res.send(obj)
 
-    while True:
-        cmd = cmd_q.get()
-        op = cmd[0]
-        if op == "stop":
-            if beat is not None:
-                beat.stop()
-            _close_net(net)
-            if state is not None and state["seg"] is not None:
-                state["seg"].close()
-            break
-        try:
-            if op == "setup":
-                (_, adapter, desc, protocol, homes, batch_size, shuffle_within,
-                 seed, rng_state, message_dtype, batch_units, overlap_send,
-                 chaos, cpuset, health, host, port, batch_hops,
-                 drop_on_fault) = cmd
-                _close_net(net)  # a new fit rebuilds the mesh
-                net = None
-                if state is not None and state["seg"] is not None:
-                    state["seg"].close()
-                state = _build_worker_state(
-                    rank, adapter, desc, protocol, homes, batch_size,
-                    shuffle_within, seed, rng_state, message_dtype, batch_units,
-                    overlap_send, cpuset, chaos,
+# ------------------------------------------------------------------ worker
+class _SocketLink:
+    """The tcp engine's half of a worker under the shared command loop
+    (:func:`repro.distributed.backends.mp._worker_main`; see
+    :class:`~repro.distributed.backends.mp._QueueLink` for the hooks).
+
+    Owns the worker's listening socket and its send/receive mesh:
+    ``open`` binds a fresh listener and reports its port (a new fit
+    rebuilds the mesh), ingest batches arrive as INGEST frames, and
+    under a survivor fault policy a peer vanishing mid-iteration drops
+    the dirty mesh and awaits the re-plan. It adds the mesh commands
+    ``rebind``, ``connect``, ``join_mesh`` and ``join_handshake``.
+    """
+
+    def __init__(self, rank: int, host: str, port: int, *, batch_hops: bool,
+                 connect_timeout: float, drop_on_fault: bool):
+        self.rank = rank
+        self._host = host
+        self._port = port
+        self._batch_hops = batch_hops
+        self._timeout = connect_timeout
+        self._drop_on_fault = drop_on_fault
+        self._net: dict | None = None
+
+    def open(self) -> int:
+        self.close()
+        self._net = _bind_listen_socket(self._host, self._port)
+        return self._net["listen"].getsockname()[1]
+
+    def close(self) -> None:
+        _close_net(self._net)
+        self._net = None
+
+    def transport(self, state, gen: int, **options) -> _SocketRingTransport:
+        # Stale frames cannot outlive an aborted attempt (its mesh is
+        # rebuilt), so the socket ring needs no generation tag.
+        return _SocketRingTransport(
+            self.rank, self._net["out"], self._net["in"], state["spec_by_sid"],
+            batch_hops=self._batch_hops, **options,
+        )
+
+    def ingest(self, state, frame: bytes) -> int:
+        (msg,) = _decode_control_blob(frame, KIND_INGEST)
+        if msg.machine != self.rank:
+            raise ProtocolError(
+                f"ingest frame for machine {msg.machine} delivered "
+                f"to rank {self.rank}"
+            )
+        return _apply_worker_ingest(state, msg.X, msg.F, msg.Z, msg.indices)
+
+    def abort(self, exc: Exception) -> bool:
+        if not self._drop_on_fault:
+            return False
+        # A peer vanished mid-iteration and the policy says survive: drop
+        # the dirty mesh (cascading the EOF to any peer still blocked)
+        # and await the re-plan.
+        self.close()
+        return True
+
+    def command(self, state, op: str, *args):
+        if op == "rebind":
+            # Drop_shard recovery, phase 1: fresh listen socket (the old
+            # mesh is dirty — dead-peer links, possibly stale frames
+            # from the aborted iteration).
+            return "port", self.open()
+        if op == "connect":
+            (addr_map,) = args
+            _mesh_up(self._net, self.rank, addr_map, self._timeout,
+                     greeting=encode_hello(self.rank))
+            return "connected", None
+        if op == "join_mesh":
+            self._admit(state, *args)
+            return "joined", None
+        if op == "join_handshake":
+            self._join(state, *args)
+            return "joined", None
+        raise ValueError(f"unknown worker command {op!r}")
+
+    def _admit(self, state, new_rank: int, addr, is_donor: bool) -> None:
+        """Link a machine joining mid-fit into this worker's mesh: accept
+        its JOIN-identified connection (incoming link), optionally hand
+        it the current model (WELCOME + BATCH back over that same socket
+        — the only time a "receive" link carries writes), and dial its
+        listener (outgoing link)."""
+        net = self._net
+        conn, kind, payload = _accept(net["listen"], self._timeout)
+        if kind != KIND_JOIN:
+            raise ProtocolError(
+                f"expected JOIN from a joining machine, got kind {kind}"
+            )
+        if decode_join(payload) != new_rank:
+            raise ProtocolError(
+                f"JOIN announced machine {decode_join(payload)}, "
+                f"expected {new_rank}"
+            )
+        if is_donor:
+            specs = state["specs"]
+            finals = [
+                SubmodelMessage.final(s, theta)
+                for s, theta in zip(specs, get_params_many(state["adapter"], specs))
+            ]
+            conn.sendall(encode_welcome(self.rank, len(finals)) + encode_batch(finals))
+        net["in"][new_rank] = conn
+        net["out"][new_rank] = _dial(addr, encode_hello(self.rank), self._timeout)
+
+    def _join(self, state, addr_map: dict, donor: int, n_submodels: int) -> None:
+        """Handshake this (joining) worker into the standing mesh: dial
+        every peer with a JOIN frame, read the donor's WELCOME +
+        submodel BATCH off the donor link, then accept every peer's
+        HELLO-identified connection."""
+
+        def take_welcome() -> None:
+            frames = _read_frames(self._net["out"][donor], 2, self._timeout)
+            (kind_w, payload_w), (kind_b, payload_b) = frames
+            if kind_w != KIND_WELCOME or kind_b != KIND_BATCH:
+                raise ProtocolError(
+                    f"expected WELCOME then BATCH from the donor, got "
+                    f"kinds {kind_w}, {kind_b}"
                 )
-                state["pulse"] = pulse
-                state["batch_hops"] = batch_hops
-                state["drop_on_fault"] = drop_on_fault
-                if health is not None and beat is None:
-                    # Beats travel as encoded HEARTBEAT control frames —
-                    # the same bytes a multi-host deployment would send
-                    # down a coordinator socket — carried here over the
-                    # single-host response channel.
-                    beat = HeartbeatSender(
-                        lambda seq, phase, progress: reply(
-                            (rank, "beat",
-                             encode_heartbeat(rank, seq, progress, phase))
-                        ),
-                        health.interval_s,
-                        pulse,
-                    )
-                net = _bind_listen_socket(host, port, batch_hops)
-                reply((rank, "port", net["listen"].getsockname()[1]))
-            elif op == "checkpoint":
-                reply((rank, "checkpoint", _checkpoint_worker_state(state)))
-            elif op == "rebind":
-                # Drop_shard recovery, phase 1: fresh listen socket (the
-                # old mesh is dirty — dead-peer links, possibly stale
-                # frames from the aborted iteration).
-                _, host, port = cmd
-                _close_net(net)
-                net = _bind_listen_socket(host, port, state["batch_hops"])
-                reply((rank, "port", net["listen"].getsockname()[1]))
-            elif op == "connect":
-                _, addr_map = cmd
-                peers = sorted(p for p in addr_map if p != rank)
-                # Dialling succeeds as soon as the peer's listen backlog
-                # completes the handshake, so every worker can dial all
-                # peers before any of them reaches accept() — no
-                # deadlock, no ordering protocol needed. Retried with
-                # backoff: a peer may not have bound its listener yet.
-                for peer in peers:
-                    conn = _connect_with_retry(addr_map[peer], connect_timeout)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    conn.sendall(encode_hello(rank))
-                    net["out"][peer] = conn
-                net["listen"].settimeout(connect_timeout)
-                try:
-                    while len(net["in"]) < len(peers):
-                        conn, _ = net["listen"].accept()
-                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                        kind, payload = _read_one_frame(conn, connect_timeout)
-                        if kind != KIND_HELLO:
-                            raise ProtocolError(
-                                f"expected HELLO on fresh connection, got kind {kind}"
-                            )
-                        net["in"][decode_hello(payload)] = conn
-                finally:
-                    net["listen"].settimeout(None)
-                # Like the queue worker's setup ack, report the cpuset
-                # actually applied (None when pinning is off).
-                reply((rank, "ready", state["cpuset"]))
-            elif op == "join_mesh":
-                # An established worker links a machine joining mid-fit
-                # into its mesh: accept the joiner's JOIN-identified
-                # connection (incoming link), optionally hand it the
-                # current model (WELCOME + BATCH back over that same
-                # socket — the only time a "receive" link carries writes),
-                # and dial the joiner's listener (outgoing link).
-                _, new_rank, addr, is_donor = cmd
-                net["listen"].settimeout(connect_timeout)
-                try:
-                    conn, _ = net["listen"].accept()
-                finally:
-                    net["listen"].settimeout(None)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                kind, payload = _read_one_frame(conn, connect_timeout)
-                if kind != KIND_JOIN:
-                    raise ProtocolError(
-                        f"expected JOIN from a joining machine, got kind {kind}"
-                    )
-                if decode_join(payload) != new_rank:
-                    raise ProtocolError(
-                        f"JOIN announced machine {decode_join(payload)}, "
-                        f"expected {new_rank}"
-                    )
-                if is_donor:
-                    specs = state["specs"]
-                    finals = [
-                        SubmodelMessage.final(s, theta)
-                        for s, theta in zip(
-                            specs, get_params_many(state["adapter"], specs)
-                        )
-                    ]
-                    conn.sendall(
-                        encode_welcome(rank, len(finals)) + encode_batch(finals)
-                    )
-                net["in"][new_rank] = conn
-                out = _connect_with_retry(addr, connect_timeout)
-                out.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                out.sendall(encode_hello(rank))
-                net["out"][new_rank] = out
-                reply((rank, "joined", None))
-            elif op == "join_handshake":
-                # The joining worker handshakes into the standing mesh:
-                # dial every peer with a JOIN frame, read the donor's
-                # WELCOME + submodel BATCH off the donor link, then accept
-                # every peer's HELLO-identified connection.
-                _, addr_map, donor, n_submodels = cmd
-                peers = sorted(p for p in addr_map if p != rank)
-                for peer in peers:
-                    conn = _connect_with_retry(addr_map[peer], connect_timeout)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    conn.sendall(encode_join(rank))
-                    net["out"][peer] = conn
-                frames = _read_frames(net["out"][donor], 2, connect_timeout)
-                (kind_w, payload_w), (kind_b, payload_b) = frames
-                if kind_w != KIND_WELCOME or kind_b != KIND_BATCH:
-                    raise ProtocolError(
-                        f"expected WELCOME then BATCH from the donor, got "
-                        f"kinds {kind_w}, {kind_b}"
-                    )
-                donor_rank, n_expected_models = decode_welcome(payload_w)
-                if donor_rank != donor:
-                    raise ProtocolError(
-                        f"WELCOME names donor {donor_rank}, expected {donor}"
-                    )
-                finals = decode_batch(payload_b, state["spec_by_sid"])
-                if len(finals) != n_expected_models or n_expected_models != n_submodels:
-                    raise ProtocolError(
-                        f"WELCOME hand-off carried {len(finals)} submodels, "
-                        f"expected {n_submodels}"
-                    )
-                set_params_many(
-                    state["adapter"], [(m.spec, m.theta) for m in finals]
+            donor_rank, n_models = decode_welcome(payload_w)
+            if donor_rank != donor:
+                raise ProtocolError(
+                    f"WELCOME names donor {donor_rank}, expected {donor}"
                 )
-                net["listen"].settimeout(connect_timeout)
-                try:
-                    while len(net["in"]) < len(peers):
-                        conn, _ = net["listen"].accept()
-                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                        kind, payload = _read_one_frame(conn, connect_timeout)
-                        if kind != KIND_HELLO:
-                            raise ProtocolError(
-                                f"expected HELLO on fresh connection, got kind {kind}"
-                            )
-                        net["in"][decode_hello(payload)] = conn
-                finally:
-                    net["listen"].settimeout(None)
-                reply((rank, "joined", state["cpuset"]))
-            elif op == "ingest":
-                _, frame = cmd
-                (msg,) = _decode_control_blob(frame, KIND_INGEST)
-                if msg.machine != rank:
-                    raise ProtocolError(
-                        f"ingest frame for machine {msg.machine} delivered "
-                        f"to rank {rank}"
-                    )
-                n = _apply_worker_ingest(state, msg.X, msg.F, msg.Z, msg.indices)
-                reply((rank, "ingested", n))
-            elif op == "replan":
-                _, protocol, homes, retired_blob = cmd
-                # The retirement announcement arrives as SHARD_RETIRED
-                # control frames — validated here even on a single host,
-                # so the multi-host control channel ships proven bytes.
-                if retired_blob:
-                    _decode_control_blob(retired_blob, KIND_SHARD_RETIRED)
-                _apply_replan(rank, state, protocol, homes)
-                reply((rank, "replanned", None))
-            elif op == "model":
-                reply((rank, "model", _report_model(state)))
-            elif op == "iter":
-                _, mu, orders, n_expected, _gen, model_rank, crash = cmd
-                plan = RoutePlan.from_orders(orders, state["protocol"])
-                chaos_cfg = state.get("chaos")
-                # A fresh shim per iteration realigns the per-link RNG
-                # streams with the simulated engines' per-W-step timeline.
-                shim = (
-                    ChaosShim(chaos_cfg, rank, clock=time.monotonic)
-                    if chaos_cfg is not None and chaos_cfg.active()
-                    else None
+            finals = decode_batch(payload_b, state["spec_by_sid"])
+            if len(finals) != n_models or n_models != n_submodels:
+                raise ProtocolError(
+                    f"WELCOME hand-off carried {len(finals)} submodels, "
+                    f"expected {n_submodels}"
                 )
-                transport = _SocketRingTransport(
-                    rank,
-                    net["out"],
-                    net["in"],
-                    state["spec_by_sid"],
-                    batch_hops=net["batch_hops"],
-                    wire_dtype=(
-                        state["message_dtype"]
-                        if state["protocol"].n_machines > 1
-                        else None
-                    ),
-                    compute_dtype=state["compute_dtype"],
-                    overlap=(
-                        state.get("overlap_send", False)
-                        and state["protocol"].n_machines > 1
-                    ),
-                    chaos_shim=shim,
-                )
-                try:
-                    try:
-                        payload = _run_worker_iteration(
-                            rank, state, mu, plan, n_expected, transport,
-                            model_rank, chaos_shim=shim, crash=crash,
-                        )
-                    finally:
-                        transport.close()
-                except (ProtocolError, IterationAborted):
-                    if not state.get("drop_on_fault"):
-                        raise
-                    # A peer vanished mid-iteration and the policy says
-                    # survive: drop the dirty mesh (cascading the EOF to
-                    # any peer still blocked) and await the re-plan.
-                    _close_net(net)
-                    net = None
-                    reply((rank, "aborted", traceback.format_exc()))
-                else:
-                    reply((rank, "result", payload))
-        except Exception:
-            reply((rank, "error", traceback.format_exc()))
+            set_params_many(state["adapter"], [(m.spec, m.theta) for m in finals])
+
+        _mesh_up(self._net, self.rank, addr_map, self._timeout,
+                 greeting=encode_join(self.rank), after_dial=take_welcome)
 
 
 # ------------------------------------------------------------- coordinator
@@ -733,7 +609,6 @@ class TCPBackend(MultiprocessBackend):
         Seconds allowed for dialling/accepting each mesh connection.
     """
 
-    _worker_fn = staticmethod(_tcp_worker_main)
     _needs_ring_queues = False
 
     def __init__(
@@ -752,8 +627,19 @@ class TCPBackend(MultiprocessBackend):
         self.connect_timeout = float(connect_timeout)
         self._addr_map: dict[int, tuple] = {}
 
-    def _worker_args(self, rank: int, res_conn) -> tuple:
-        return (rank, self._cmd_qs[rank], res_conn, self.connect_timeout)
+    def _worker_link(self, rank: int) -> _SocketLink:
+        # Under both survivor policies — drop_shard re-plans around the
+        # loss, respawn rewinds and retries — the coordinator needs clean
+        # abort acks, not errors, out of the survivors of a peer death.
+        return _SocketLink(
+            rank,
+            self.host,
+            self._port_for(rank),
+            batch_hops=self.batch_hops,
+            connect_timeout=self.connect_timeout,
+            drop_on_fault=self.fault_policy
+            in (FaultPolicy.DROP_SHARD, FaultPolicy.RESPAWN),
+        )
 
     def _port_for(self, rank: int) -> int:
         if self.ports is None:
@@ -767,80 +653,13 @@ class TCPBackend(MultiprocessBackend):
             )
         return int(ports[rank])
 
-    def _ship_setup(self, adapter, descs: dict, rng_states: dict | None = None) -> None:
-        """Three-phase socket setup: bind, exchange ports, build the mesh."""
-        base_seed = 0 if self.seed is None else int(self.seed)
-        cpusets = self._cpusets(sorted(descs))
-        for rank in sorted(descs):
-            self._cmd_qs[rank].put(
-                (
-                    "setup",
-                    adapter,
-                    descs[rank],
-                    self._protocol,
-                    self._homes,
-                    self.batch_size,
-                    self.shuffle_within,
-                    base_seed + rank,
-                    None if rng_states is None else rng_states.get(rank),
-                    self.message_dtype,
-                    self.batch_units,
-                    self.overlap_send,
-                    self.chaos,
-                    cpusets.get(rank),
-                    self.health,
-                    self.host,
-                    self._port_for(rank),
-                    self.batch_hops,
-                    self._drop_on_fault(),
-                )
-            )
-        self._connect_mesh()
-
-    def _drop_on_fault(self) -> bool:
-        """Whether workers should *abort and await recovery* on a peer
-        death instead of failing: true for both survivor policies —
-        ``drop_shard`` re-plans around the loss, ``respawn`` rewinds and
-        retries — since either way the coordinator needs clean abort
-        acks, not errors, out of the survivors."""
-        return self.fault_policy in (FaultPolicy.DROP_SHARD, FaultPolicy.RESPAWN)
-
-    def _connect_mesh(self) -> None:
+    def _link_ring(self, ports: dict) -> None:
         """Exchange bound ports and build the all-pairs socket mesh."""
-        bound = self._collect("port")
-        addr_map = {rank: (self.host, port) for rank, port in bound.items()}
+        addr_map = {rank: (self.host, port) for rank, port in ports.items()}
         self._addr_map = dict(addr_map)
         for rank in self._ranks:
             self._cmd_qs[rank].put(("connect", addr_map))
-        ready = self._collect("ready")
-        self._worker_cpusets = {
-            r: cs for r, cs in ready.items() if cs is not None
-        }
-
-    def _dispatch_iteration(self, mu: float, plan, expected: dict,
-                            model_rank: int, crashes: dict | None = None) -> None:
-        crashes = crashes or {}
-        orders = plan.to_orders()
-        if self._monitor is not None:
-            self._monitor.begin_phase(self._ranks)
-        for rank in self._ranks:
-            self._cmd_qs[rank].put(
-                ("iter", mu, orders, expected[rank], self._gen, model_rank,
-                 crashes.get(rank))
-            )
-
-    def _observe_beat(self, rank: int, payload) -> None:
-        """Decode a framed HEARTBEAT (the tcp workers beat with the same
-        bytes a coordinator socket would carry) and feed the monitor."""
-        if self._monitor is None:
-            return
-        for kind, frame_payload in FrameDecoder().feed(payload):
-            if kind != KIND_HEARTBEAT:
-                raise ProtocolError(
-                    f"expected HEARTBEAT control frame, got kind {kind}"
-                )
-            beat_rank, seq, progress, phase = decode_heartbeat(frame_payload)
-            self._monitor.observe(beat_rank, seq, phase, progress)
+        self._collect("connected")
 
     # ----------------------------------------------------------- elasticity
     def _check_join_capacity(self, p: int) -> None:
@@ -856,32 +675,7 @@ class TCPBackend(MultiprocessBackend):
         submodels over as a WELCOME + framed BATCH. No pickle: the model
         reaches the joiner exactly as it travels the ring.
         """
-        base_seed = 0 if self.seed is None else int(self.seed)
-        self._cmd_qs[p].put(
-            (
-                "setup",
-                self.adapter,
-                desc,
-                self._protocol,
-                self._homes,
-                self.batch_size,
-                self.shuffle_within,
-                base_seed + p,
-                None,
-                self.message_dtype,
-                self.batch_units,
-                self.overlap_send,
-                self.chaos,
-                self._cpusets(old_ranks + [p]).get(p),
-                self.health,
-                self.host,
-                self._port_for(p),
-                self.batch_hops,
-                self._drop_on_fault(),
-            )
-        )
-        bound = self._collect("port", ranks=[p])
-        addr = (self.host, bound[p])
+        addr = (self.host, self._setup_workers(self.adapter, {p: desc})[p])
         donor = old_ranks[0]
         for rank in old_ranks:
             self._cmd_qs[rank].put(("join_mesh", p, addr, rank == donor))
@@ -893,9 +687,7 @@ class TCPBackend(MultiprocessBackend):
                 len(self._specs),
             )
         )
-        joined = self._collect("joined", ranks=[*old_ranks, p])
-        if joined.get(p) is not None:
-            self._worker_cpusets[p] = joined[p]
+        self._collect("joined", ranks=[*old_ranks, p])
         self._addr_map[p] = addr
 
     # ------------------------------------------------------------ recovery
@@ -913,12 +705,5 @@ class TCPBackend(MultiprocessBackend):
         """Rebuild the socket mesh over the survivor set (fresh listen
         sockets and HELLO handshakes — no stale frames survive)."""
         for rank in self._ranks:
-            self._cmd_qs[rank].put(("rebind", self.host, self._port_for(rank)))
-        self._connect_mesh()
-
-    def _announce_replan(self, retired, ranks=None) -> None:
-        ranks = list(self._ranks) if ranks is None else list(ranks)
-        blob = b"".join(encode_shard_retired(m) for m in retired)
-        for rank in ranks:
-            self._cmd_qs[rank].put(("replan", self._protocol, self._homes, blob))
-        self._collect("replanned", ranks=ranks)
+            self._cmd_qs[rank].put(("rebind",))
+        self._link_ring(self._collect("port"))

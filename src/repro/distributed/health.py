@@ -135,11 +135,10 @@ class WorkerPulse:
 class HeartbeatSender:
     """One worker's beat thread.
 
-    ``emit(seq, phase, progress)`` is the transport-specific send — the
-    mp workers enqueue a plain tuple, the tcp workers an encoded
-    HEARTBEAT frame — and must be safe to call concurrently with the
-    main thread's replies (the workers wrap the response channel in a
-    send lock). Emit errors end the thread quietly: if the response
+    ``emit(seq, phase, progress)`` is the send — the wall-clock workers
+    write an encoded HEARTBEAT frame to their response channel — and
+    must be safe to call concurrently with the main thread's replies
+    (the workers wrap the response channel in a send lock). Emit errors end the thread quietly: if the response
     channel is gone the coordinator is tearing us down anyway.
     """
 

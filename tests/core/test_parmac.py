@@ -110,16 +110,30 @@ class TestSimulatedBackends:
 
 
 class TestMultiprocessBackend:
-    def test_trains(self, X):
+    @pytest.mark.parametrize(
+        "n_machines, epochs, scheme",
+        [(2, 1, "rounds"), (1, 2, "rounds"), (2, 3, "rounds"), (2, 2, "tworound")],
+        ids=["two-machines", "single-machine", "three-epochs", "tworound"],
+    )
+    def test_trains(self, X, n_machines, epochs, scheme):
         ba = BinaryAutoencoder.linear(10, 4)
         tr = ParMACTrainerBA(
-            ba, GeometricSchedule(1e-4, 2.0, 4), n_machines=2,
-            backend="multiprocess", seed=0,
+            ba, GeometricSchedule(1e-4, 2.0, 4), n_machines=n_machines,
+            epochs=epochs, scheme=scheme, backend="multiprocess", seed=0,
         )
         h = tr.fit(X)
         assert len(h) == 4
         assert np.isfinite(h.records[-1].e_q)
         assert h.records[-1].e_q < h.records[0].e_q * 1.5
+        extra = h.records[-1].extra
+        assert extra["w_time"] > 0 and extra["z_time"] > 0 and extra["wall_time"] > 0
+
+    def test_rejects_empty_shards(self):
+        from repro.distributed.backends import get_backend
+
+        backend = get_backend("multiprocess")()
+        with pytest.raises(ValueError, match="at least one shard"):
+            backend.setup(None, [])
 
     def test_evaluator_sees_each_iteration(self, X):
         ba = BinaryAutoencoder.linear(10, 4)

@@ -619,12 +619,24 @@ class TestElasticConformance:
         # One plain append-join early, one mid-ring insertion later.
         return {1: [X1], 3: [(X2, 1)]}
 
+    #: Worker settings a joiner must receive in its setup, exactly as the
+    #: machines present from the start did.
+    SETTINGS = {
+        "default": {},
+        "f32-overlap-unbatched": {
+            "message_dtype": "float32",
+            "overlap_send": True,
+            "batch_units": False,
+        },
+    }
+
     @pytest.fixture(scope="class")
     def run(self, X, joins):
         cache = {}
 
-        def _run(name):
-            if name not in cache:
+        def _run(name, settings="default"):
+            key = (name, settings)
+            if key not in cache:
                 adapter, shards = ba_setup(X)
                 trainer = ParMACTrainer(
                     adapter,
@@ -633,18 +645,20 @@ class TestElasticConformance:
                     epochs=2,
                     shuffle_within=False,
                     seed=0,
+                    backend_options=self.SETTINGS[settings],
                 )
                 history = trainer.fit(shards, joins=joins)
                 trainer.close()
-                cache[name] = (history, final_params(adapter))
-            return cache[name]
+                cache[key] = (history, final_params(adapter))
+            return cache[key]
 
         return _run
 
+    @pytest.mark.parametrize("settings", list(SETTINGS))
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_joined_finals_identical(self, run, name):
-        ref = run(REFERENCE)[1]
-        params = run(name)[1]
+    def test_joined_finals_identical(self, run, name, settings):
+        ref = run(REFERENCE, settings)[1]
+        params = run(name, settings)[1]
         assert set(params) == set(ref)
         for sid in ref:
             assert np.array_equal(params[sid], ref[sid]), (name, sid)

@@ -2,8 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.protocol import RoutePlan, WStepProtocol, expected_receives
+from repro.distributed.protocol import (
+    RoutePlan,
+    WStepProtocol,
+    expected_receives,
+    home_assignment,
+)
 from repro.distributed.topology import RingTopology
+
+
+class TestHomeAssignment:
+    def test_contiguous_blocks(self):
+        homes = home_assignment(8, 4)
+        assert [homes[i] for i in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_uneven_split_covers_all_machines(self):
+        homes = home_assignment(7, 3)
+        assert set(homes.values()) == {0, 1, 2}
 
 
 class TestCounterSemantics:
@@ -117,7 +132,7 @@ class TestExpectedReceives:
 
     def test_offset_formula_identity_ring(self):
         # For the identity ring: home gets e receives, offsets 1..P-2 get
-        # e+1, offset P-1 gets e (derived in the mp_backend design).
+        # e+1, offset P-1 gets e (derived in the multiprocess backend design).
         P, e = 5, 2
         proto = WStepProtocol(P, e)
         plan = RoutePlan.fixed(RingTopology.identity(P), proto)

@@ -439,3 +439,45 @@ class TestIdleKillRecovery:
             assert np.isfinite(stats.e_q) and stats.shards_lost == 0
         finally:
             backend.close()
+
+
+def _hold_lock_forever(lock, held) -> None:
+    lock.acquire()
+    held.set()
+    time.sleep(3600)
+
+
+@pytest.mark.slow
+def test_ring_queue_lock_left_held_by_a_dead_writer_is_not_reused(X):
+    """A worker SIGKILLed inside its feeder's send window dies holding
+    the receiver's ring-queue write lock, which is then never released.
+    Reproduced deterministically: a forked stand-in takes rank 1's inbox
+    lock and is SIGKILLed holding it, and rank 0 is killed too. After
+    dropping rank 0's shard, the survivors must not run the retried
+    iteration over the wedged queue (rank 2 could never send to rank 1)."""
+    import multiprocessing as mp
+
+    adapter, shards = ba_setup(X)
+    backend = get_backend("multiprocess")(
+        seed=0, fault_policy="drop_shard",
+        worker_timeout=FAULT_DETECTION_TIMEOUT_S,
+    )
+    try:
+        backend.setup(adapter, shards)
+        backend.run_iteration(1e-3)
+        ctx = mp.get_context("fork")
+        held = ctx.Event()
+        holder = ctx.Process(
+            target=_hold_lock_forever, args=(backend._ring_qs[1]._wlock, held)
+        )
+        holder.start()
+        assert held.wait(10)
+        os.kill(holder.pid, signal.SIGKILL)
+        holder.join()
+        os.kill(backend.worker_pids[0], signal.SIGKILL)
+        stats = backend.run_iteration(2e-3)
+        assert stats.shards_lost == 1 and stats.n_machines == 2
+        stats = backend.run_iteration(4e-3)
+        assert np.isfinite(stats.e_q) and stats.shards_lost == 0
+    finally:
+        backend.close()
