@@ -1,6 +1,6 @@
 """Stacked Z-step kernels and overlapped ring sends: wall-clock speedups.
 
-The PR-6 "hot paths" items, measured:
+The "hot paths" of docs/architecture.md, measured:
 
 * **Stacked vs legacy BA alternating solver.** The legacy formulation
   materialises an n x D residual copy per bit per sweep; the stacked one
@@ -9,10 +9,12 @@ The PR-6 "hot paths" items, measured:
   bit-identical from a shared initialisation. Acceptance floor for this
   repo: >= 3x on the wide-code 256-dimensional layer.
 
-* **Enumeration shared-work caches.** The code table, Gram matrix and
-  per-code quadratic depend only on ``(L, B, dtype)``, constant across
-  the chunks and shards of one iteration; the stacked path computes them
-  once and reuses them bitwise.
+* **Split-half exact enumeration at L=16.** The legacy path scores a
+  whole chunk of rows against all 2^16 codes with one GEMM, materialising
+  an n x 2^16 score matrix; the stacked path splits each code into a low
+  and a high half and scores a few rows at a time as ``(T + P) + Q`` in a
+  cache-sized buffer. Bit-identical codes; acceptance floor >= 2x at the
+  paper's L=16.
 
 * **Activation-cached net Z step.** ``z_step_reference`` runs roughly
   three full forward passes per descent step; ``z_step`` computes one
@@ -60,16 +62,20 @@ from repro.nets.mac_net import MACTrainerNet  # noqa: E402
 
 FULL = {
     "alt": {"n": 4000, "D": 256, "L": 32, "reps": 3},
-    "enum": {"n": 4000, "D": 64, "L": 14, "reps": 5},
+    "enum": {"n": 4000, "D": 64, "L": 16, "reps": 5},
     "net": {"n": 1500, "dims": [32, 256, 16], "reps": 3},
     "overlap": {"n": 2400, "D": 48, "L": 16, "P": 3, "mus": [1e-3, 2e-3, 4e-3]},
 }
 SMOKE = {
     "alt": {"n": 600, "D": 256, "L": 32, "reps": 2},
-    "enum": {"n": 1000, "D": 48, "L": 12, "reps": 3},
+    "enum": {"n": 1000, "D": 48, "L": 16, "reps": 3},
     "net": {"n": 400, "dims": [16, 256, 8], "reps": 2},
     "overlap": {"n": 900, "D": 32, "L": 12, "P": 3, "mus": [1e-3, 2e-3]},
 }
+
+# Acceptance floors: stacked over legacy wall time.
+ALT_FLOOR = 3.0
+ENUM_FLOOR = 2.0
 
 
 def _best_of(fn, reps):
@@ -112,7 +118,7 @@ def measure_alternate(cfg) -> dict:
 
 
 def measure_enumerate(cfg) -> dict:
-    """Per-call enumeration cost once the shared-work caches are warm."""
+    """Legacy vs split-half enumeration, per call with warm caches."""
     X, B, c, H, mu = ba_problem(cfg)
     t_leg, Z_leg = _best_of(
         lambda: zstep_enumerate(X, B, c, H, mu, impl="legacy"), cfg["reps"]
@@ -121,7 +127,7 @@ def measure_enumerate(cfg) -> dict:
     t_stk, Z_stk = _best_of(
         lambda: zstep_enumerate(X, B, c, H, mu, impl="stacked"), cfg["reps"]
     )
-    assert np.array_equal(Z_leg, Z_stk), "cached enumerate changed the bits"
+    assert np.array_equal(Z_leg, Z_stk), "stacked enumerate changed the bits"
     return {
         "config": dict(cfg),
         "legacy_s": t_leg,
@@ -214,7 +220,7 @@ def report_lines(results) -> list:
         f"  legacy  alternate : {alt['legacy_s'] * 1e3:8.1f} ms",
         f"  stacked alternate : {alt['stacked_s'] * 1e3:8.1f} ms",
         f"  speedup           : {alt['speedup']:8.2f}x   (bit-identical)",
-        f"  enumerate (cached): {enum_['speedup']:8.2f}x   "
+        f"  enumerate (split) : {enum_['speedup']:8.2f}x   "
         f"(L={enum_['config']['L']}, warm caches, bit-identical)",
         f"  net z_step        : {net['speedup']:8.2f}x   "
         f"(dims={net['config']['dims']}, vs reference, bit-identical)",
@@ -228,14 +234,16 @@ def report_lines(results) -> list:
 
 
 def test_zstep_stacked_speedup(benchmark, report):
-    """Pytest entry: smoke-size run with the >= 3x acceptance assertion."""
+    """Pytest entry: smoke-size run with the acceptance floors asserted."""
     results = benchmark.pedantic(lambda: measure(SMOKE), rounds=1, iterations=1)
     report()
     for line in report_lines(results):
         report(line)
     write_bench_json("zstep", results, merge=True)
-    assert results["alternate"]["speedup"] >= 3.0
+    assert results["alternate"]["speedup"] >= ALT_FLOOR
+    assert results["enumerate"]["speedup"] >= ENUM_FLOOR
     assert results["alternate"]["bit_identical"]
+    assert results["enumerate"]["bit_identical"]
     assert results["net"]["bit_identical"]
     assert results["overlap"]["bit_identical"]
 
@@ -256,10 +264,16 @@ def main(argv=None) -> int:
         print(line)
     path = write_bench_json("zstep", results, directory=args.out, merge=True)
     print(f"wrote {path}")
-    if results["alternate"]["speedup"] < 3.0:
-        print("FAIL: stacked alternating Z step below the 3x acceptance floor")
-        return 1
-    return 0
+    failed = False
+    if results["alternate"]["speedup"] < ALT_FLOOR:
+        print(f"FAIL: stacked alternating Z step below the {ALT_FLOOR:g}x "
+              "acceptance floor")
+        failed = True
+    if results["enumerate"]["speedup"] < ENUM_FLOOR:
+        print(f"FAIL: stacked enumeration Z step below the {ENUM_FLOOR:g}x "
+              "acceptance floor")
+        failed = True
+    return int(failed)
 
 
 if __name__ == "__main__":

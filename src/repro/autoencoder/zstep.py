@@ -26,10 +26,13 @@ Every solver ships two implementations selected by ``impl``:
 * ``"stacked"`` (default) — loop-free linear algebra: the alternating
   solver maintains ``G = R B`` (an n x L stack of per-bit linear terms)
   with one rank-1 update per flipped bit instead of materialising per-bit
-  n x D residual copies, and enumeration reuses the code table and the
-  per-code quadratic across calls (they depend only on ``(L, B, dtype)``,
-  which is constant across the minibatch chunks and shards of one
-  iteration).
+  n x D residual copies. Enumeration splits each code integer into a low
+  and a high half, ``k = a + 2^lo b``, and scores a few rows at a time as
+  ``(T[b, a] + P[a]) + Q[b]`` in a fixed cache-sized buffer instead of an
+  n x 2^L score matrix: ``T`` is the per-code quadratic (cached across
+  calls, as it depends only on ``(L, B, dtype)``) and ``P``, ``Q`` are the
+  per-row linear terms of each half. The flat argmin over ``(b, a)`` is
+  ``k``, so ties keep the lowest-code order of full enumeration.
 * ``"legacy"`` — the original residual-sweeping formulation, kept as the
   reference the parity tests compare against.
 """
@@ -59,6 +62,15 @@ __all__ = [
 # Enumeration scores all 2^L codes; beyond this many bits we refuse and the
 # dispatcher switches to the alternating solver (the paper does the same).
 MAX_ENUM_BITS = 16
+
+# Scratch bound of the stacked enumeration: each row block scores at most
+# this many (row, code) pairs, 1 MiB of float64 — two L=16 rows, which with
+# the 2^16-entry per-code table stay in a per-core L2 cache.
+_ENUM_BLOCK_SCORES = 1 << 17
+
+# Rows per GEMM of the legacy enumeration (its scratch is this many rows
+# times 2^L scores).
+_LEGACY_CHUNK = 2048
 
 # Shared-work caches. The code table depends only on (L, dtype); the Gram
 # matrix and the per-code quadratic depend on the decoder content, which is
@@ -142,6 +154,13 @@ def _all_codes(L: int, dtype=np.float64) -> np.ndarray:
     return C
 
 
+def _enum_block_rows(L: int) -> int:
+    """Rows per block of the stacked enumeration: as many as keep the
+    block's ``rows * 2^L`` scores within :data:`_ENUM_BLOCK_SCORES`
+    (at least one)."""
+    return max(1, _ENUM_BLOCK_SCORES >> L)
+
+
 def zstep_enumerate(
     X: np.ndarray,
     B: np.ndarray,
@@ -149,14 +168,22 @@ def zstep_enumerate(
     H: np.ndarray,
     mu: float,
     *,
-    chunk: int = 2048,
     impl: str = "stacked",
 ) -> np.ndarray:
     """Exact Z step by enumerating all 2^L codes.
 
-    Memory is bounded by ``chunk * 2^L`` scores at a time. Raises for
-    ``L > MAX_ENUM_BITS``. ``impl="stacked"`` reuses the cached code table
-    and per-code quadratic; ``impl="legacy"`` recomputes them per call.
+    Every code ``k`` scores ``quad[k] - 2 Lin . z_k`` and the lowest code
+    integer among the minima wins. Raises for ``L > MAX_ENUM_BITS``.
+
+    ``impl="stacked"`` splits ``k = a + 2^lo b`` (``lo = L // 2``): the
+    cached per-code quadratic reshapes to ``T[b, a]``, two small GEMMs
+    give ``P = -2 Lin_lo C_lo^T`` and ``Q = -2 Lin_hi C_hi^T``, and a few
+    rows at a time are scored as ``(T + P) + Q`` into one preallocated
+    buffer, so scratch memory is :data:`_ENUM_BLOCK_SCORES` scores
+    however many rows there are. The flat ``(b, a)`` index of a row's
+    argmin is ``k`` itself, so ties keep the lowest-``k`` order.
+    ``impl="legacy"`` scores ``_LEGACY_CHUNK`` rows against the full
+    code table per GEMM and recomputes the per-code quadratic per call.
     """
     L = B.shape[1]
     if L > MAX_ENUM_BITS:
@@ -166,27 +193,40 @@ def zstep_enumerate(
         )
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
+    if impl not in ("stacked", "legacy"):
+        raise ValueError(f"unknown impl {impl!r}")
     cd = _solver_dtype(B)
     X = np.asarray(X, dtype=cd)
     Hf = np.asarray(H, dtype=cd)
     C = _all_codes(L, cd)  # (2^L, L)
-    # Per-code quadratic term: z^T BtB z + mu * sum(z); shared by all points.
-    if impl == "legacy":
-        BtB = B.T @ B
-        quad = np.einsum("kl,lm,km->k", C, BtB, C) + mu * C.sum(axis=1)
-    elif impl == "stacked":
-        quad = _code_quad(B, C) + mu * _code_sums(L, cd)
-    else:
-        raise ValueError(f"unknown impl {impl!r}")
     # Per-point linear term coefficient.
     Lin = (X - c) @ B + mu * Hf  # (n, L)
     n = len(X)
-    Z = np.empty((n, L), dtype=np.uint8)
-    for start in range(0, n, chunk):
-        scores = quad[None, :] - 2.0 * Lin[start : start + chunk] @ C.T
-        best = np.argmin(scores, axis=1)
-        Z[start : start + chunk] = C[best].astype(np.uint8)
-    return Z
+    if impl == "legacy":
+        # Per-code quadratic term: z^T BtB z + mu * sum(z); shared by all points.
+        BtB = B.T @ B
+        quad = np.einsum("kl,lm,km->k", C, BtB, C) + mu * C.sum(axis=1)
+        Z = np.empty((n, L), dtype=np.uint8)
+        for start in range(0, n, _LEGACY_CHUNK):
+            scores = quad[None, :] - 2.0 * Lin[start : start + _LEGACY_CHUNK] @ C.T
+            best = np.argmin(scores, axis=1)
+            Z[start : start + _LEGACY_CHUNK] = C[best].astype(np.uint8)
+        return Z
+    lo = L // 2
+    hi = L - lo
+    T = (_code_quad(B, C) + mu * _code_sums(L, cd)).reshape(2**hi, 2**lo)
+    P = -2.0 * (Lin[:, :lo] @ _all_codes(lo, cd).T)  # (n, 2^lo)
+    Q = -2.0 * (Lin[:, lo:] @ _all_codes(hi, cd).T)  # (n, 2^hi)
+    r = _enum_block_rows(L)
+    buf = np.empty((min(r, n), 2**hi, 2**lo), dtype=cd)
+    best = np.empty(n, dtype=np.intp)
+    for start in range(0, n, r):
+        stop = min(start + r, n)
+        block = buf[: stop - start]
+        np.add(T[None], P[start:stop, None, :], out=block)
+        block += Q[start:stop, :, None]
+        best[start:stop] = block.reshape(stop - start, -1).argmin(axis=1)
+    return C[best].astype(np.uint8)
 
 
 def zstep_relaxed(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.autoencoder.zstep import (
     MAX_ENUM_BITS,
+    _enum_block_rows,
     zstep,
     zstep_alternate,
     zstep_enumerate,
@@ -71,11 +72,21 @@ class TestEnumerate:
             zstep_objective(X, B, c, H, mu, Z), zstep_objective(X, B, c, H, mu, ref)
         )
 
-    def test_chunking_equivalence(self):
-        X, B, c, H, mu = random_problem(n=30)
-        a = zstep_enumerate(X, B, c, H, mu, chunk=7)
-        b = zstep_enumerate(X, B, c, H, mu, chunk=10_000)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("n_rows", ["one", "block+1", "non-multiple", "zero"])
+    def test_row_blocking_equivalence(self, n_rows):
+        # A row's code must not depend on which row block it falls in:
+        # slices at two offsets agree with the same rows of one full solve.
+        L = 10
+        block = _enum_block_rows(L)
+        assert block > 1
+        n = {"one": 1, "block+1": block + 1, "non-multiple": 2 * block + 3,
+             "zero": 0}[n_rows]
+        X, B, c, H, mu = random_problem(n=n + 5, D=8, L=L, seed=9)
+        full = zstep_enumerate(X, B, c, H, mu)
+        for off in (0, 5):
+            part = zstep_enumerate(X[off : off + n], B, c, H[off : off + n], mu)
+            assert part.shape == (n, L)
+            assert np.array_equal(part, full[off : off + n])
 
     def test_huge_mu_returns_h(self):
         X, B, c, H, _ = random_problem()
@@ -206,6 +217,64 @@ class TestStackedParity:
         legacy = zstep_enumerate(X, B, c, H, mu, impl="legacy")
         stacked = zstep_enumerate(X, B, c, H, mu, impl="stacked")
         assert np.array_equal(legacy, stacked)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("L", [1, 2, 3, 15, 16])
+    def test_enumerate_parity_dyadic_split_widths(self, L, dtype):
+        # The stacked kernel splits k = a + 2^lo b with lo = L // 2: odd L
+        # gives unequal halves and L = 1 an empty low half.
+        X, B, c, H, mu, _ = dyadic_problem(L, dtype, n=40, L=L)
+        legacy = zstep_enumerate(X, B, c, H, mu, impl="legacy")
+        stacked = zstep_enumerate(X, B, c, H, mu, impl="stacked")
+        assert np.array_equal(legacy, stacked)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_enumerate_ties_pick_lowest_code(self, dtype):
+        # Columns 0 and L-1 (one in each half) are the same decoder column
+        # and h agrees on them, so swapping those two bits never changes
+        # the objective: every row whose optimum sets exactly one of them
+        # ties exactly on the dyadic grid. Both impls must return the
+        # lowest code integer among the minimisers.
+        L = 7
+        X, B, c, H, mu, _ = dyadic_problem(3, dtype, n=60, L=L)
+        B[:, L - 1] = B[:, 0]
+        H[:, L - 1] = H[:, 0]
+        Zt = np.random.default_rng(4).integers(0, 2, size=(len(X), L))
+        X = (Zt @ B.T + c).astype(dtype)  # exact: optima near Zt
+        codes = ((np.arange(2**L)[:, None] >> np.arange(L)) & 1).astype(np.uint8)
+        lowest, n_ties = [], 0
+        for i in range(len(X)):
+            vals = zstep_objective(X[i : i + 1].repeat(2**L, 0), B, c,
+                                   H[i : i + 1].repeat(2**L, 0), mu, codes)
+            minima = np.flatnonzero(vals == vals.min())
+            n_ties += len(minima) > 1
+            lowest.append(codes[minima[0]])
+        assert n_ties > 0
+        for impl in ("stacked", "legacy"):
+            Z = zstep_enumerate(X, B, c, H, mu, impl=impl)
+            assert np.array_equal(Z, np.array(lowest))
+
+    @pytest.mark.parametrize("mu", [1e-3, 3.2e-2, 1.0, 10.0])
+    def test_enumerate_parity_sift_like_L16(self, mu):
+        # Continuous SIFT-like data (non-negative, heavy-tailed, decoder
+        # fitted by least squares to codes): the split sum rounds
+        # differently from one full GEMM, yet every row's optimum keeps
+        # legacy's objective.
+        rng = np.random.default_rng(16)
+        n, D, L = 200, 64, 16
+        X = np.minimum(np.floor(rng.exponential(20.0, size=(n, D))), 255.0)
+        Z0 = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+        A = np.hstack([Z0.astype(np.float64), np.ones((n, 1))])
+        W = np.linalg.lstsq(A, X, rcond=None)[0]
+        B, c = W[:L].T.copy(), W[L].copy()
+        H = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+        legacy = zstep_enumerate(X, B, c, H, mu, impl="legacy")
+        stacked = zstep_enumerate(X, B, c, H, mu, impl="stacked")
+        np.testing.assert_allclose(
+            zstep_objective(X, B, c, H, mu, stacked),
+            zstep_objective(X, B, c, H, mu, legacy),
+            rtol=1e-12, atol=0,
+        )
 
     @given(seed=st.integers(0, 10_000),
            dtype=st.sampled_from([np.float32, np.float64]))
